@@ -92,9 +92,10 @@ bench:
 
 # bench-diff runs the exploration-heavy benchmarks with allocation counting
 # and records the results: graph builds and kernel step microbenchmarks in
-# BENCH_kernel.json, graph-cache reuse and streaming-scan benchmarks in
-# BENCH_reuse.json, and the dcserved swarm throughput/latency record
-# (req/s, p50/p99) in BENCH_served.json. Perf changes land with before/after
+# BENCH_kernel.json, graph-cache reuse, streaming-scan and liveness-core
+# (fair cycle, good region) benchmarks in BENCH_reuse.json, and the
+# dcserved swarm throughput/latency record (req/s, p50/p99) in
+# BENCH_served.json. Perf changes land with before/after
 # evidence (compare
 # with `go run golang.org/x/perf/cmd/benchstat` if available, or by eye —
 # the files are plain `go test -json` output). The reuse benchmarks include
@@ -102,7 +103,7 @@ bench:
 bench-diff:
 	$(GO) test -json -run='^$$' -bench='Build|Kernel' -benchmem . > BENCH_kernel.json
 	@grep -o '"Output":"[^"]*"' BENCH_kernel.json | sed -e 's/^"Output":"//' -e 's/"$$//' | tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true
-	$(GO) test -json -run='^$$' -bench='CachedReuse|UncachedCheck|Scan' -benchtime=3x -benchmem . > BENCH_reuse.json
+	$(GO) test -json -run='^$$' -bench='CachedReuse|UncachedCheck|Scan|FairCycleDetection|GoodRegion' -benchtime=3x -benchmem . > BENCH_reuse.json
 	@grep -o '"Output":"[^"]*"' BENCH_reuse.json | sed -e 's/^"Output":"//' -e 's/"$$//' | tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true
 	$(GO) test -json -run='^$$' -bench='ServedSwarm' ./internal/serve > BENCH_served.json
 	@grep -o '"Output":"[^"]*"' BENCH_served.json | sed -e 's/^"Output":"//' -e 's/"$$//' | tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true

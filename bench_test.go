@@ -124,6 +124,32 @@ func BenchmarkFairCycleDetection(b *testing.B) {
 	}
 }
 
+// BenchmarkGoodRegionRing5Nonmasking measures the good-region fixpoint
+// behind nonmasking CheckFTolerant on the ring-5 corrector, over the graph
+// that check builds (the ring's actions from its fault span). Each
+// iteration gets a fresh graph, built with the timer stopped, so no
+// per-graph memo carries over; only GoodRegion is measured.
+func BenchmarkGoodRegionRing5Nonmasking(b *testing.B) {
+	sys := tokenring.MustNew(5, 5)
+	c := sys.AsCorrector()
+	span, err := fault.ComputeSpan(c.C, sys.Corruption, c.U)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g, err := explore.Build(c.C, span.Predicate, explore.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if good := c.GoodRegion(g); good.Count() != g.NumNodes() {
+			b.Fatalf("ring-5 stabilizes from every state; good region has %d of %d", good.Count(), g.NumNodes())
+		}
+	}
+}
+
 func BenchmarkGraphBuild(b *testing.B) {
 	sys := tokenring.MustNew(5, 5) // 3125 states
 	b.ResetTimer()

@@ -219,24 +219,17 @@ func (c Corrector) GoodRegion(g *explore.Graph) *explore.Bitset {
 		return true
 	})
 	region = g.LargestClosedSubset(region)
-	// Prune states from which X is not eventually reached, to a fixpoint.
+	// Prune states from which X is not eventually reached, to a fixpoint:
+	// in the closed region such a computation stays in region ∖ X forever,
+	// so each round removes every trapped state of region ∖ X and re-closes.
 	for {
-		goal := xSet.Clone()
-		goal.Intersect(region)
-		violating := -1
-		region.ForEach(func(id int) bool {
-			single := explore.NewBitset(g.NumNodes())
-			single.Add(id)
-			if v := g.CheckEventually(single, goal); v != nil {
-				violating = id
-				return false
-			}
-			return true
-		})
-		if violating < 0 {
+		cand := region.Clone()
+		cand.Subtract(xSet)
+		trapped := g.Trapped(cand)
+		if trapped.Empty() {
 			return region
 		}
-		region.Remove(violating)
+		region.Subtract(trapped)
 		region = g.LargestClosedSubset(region)
 	}
 }

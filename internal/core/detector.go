@@ -262,29 +262,20 @@ func (d Detector) GoodRegion(g *explore.Graph) *explore.Bitset {
 		return true
 	})
 	region := g.LargestClosedSubset(safe)
-	// Prune states where Progress fails, iterating to a fixpoint (removing
-	// a state can only shrink the closed region further).
+	// Prune states where Progress fails, to a fixpoint. Within the closed
+	// region a computation from an X ∧ ¬Z state violates Progress iff it
+	// stays in X ∧ ¬Z forever, so each round removes every trapped
+	// candidate at once (Graph.Trapped) and re-closes; removal only
+	// shrinks the region, so no removed state could ever be rescued.
 	for {
-		goal := xSet.Complement()
-		goal.Union(zSet)
-		goal.Intersect(region)
-		violating := -1
 		cand := xSet.Clone()
 		cand.Subtract(zSet)
 		cand.Intersect(region)
-		cand.ForEach(func(id int) bool {
-			single := explore.NewBitset(g.NumNodes())
-			single.Add(id)
-			if v := g.CheckEventually(single, goal); v != nil {
-				violating = id
-				return false
-			}
-			return true
-		})
-		if violating < 0 {
+		trapped := g.Trapped(cand)
+		if trapped.Empty() {
 			return region
 		}
-		region.Remove(violating)
+		region.Subtract(trapped)
 		region = g.LargestClosedSubset(region)
 	}
 }

@@ -64,20 +64,65 @@ func (v *LivenessViolation) Error() string {
 // would keep a continuously enabled yet never execute it; conversely a tour
 // of all states and internal fair edges of C is weakly fair.)
 func (g *Graph) FairCycle(within *Bitset) []int {
+	var found []int
+	g.eachFairRunComponent(within, func(comp []int) bool {
+		found = comp
+		return false
+	})
+	return found
+}
+
+// Trapped returns the states of `within` from which some fair maximal
+// computation never leaves `within`: the backward closure inside `within`,
+// along all edges (as Reach follows them), of within's deadlocks and of the
+// SCCs of within that admit a fair run. Membership of a node v equals
+// CheckEventually({v}, ¬within) != nil, decided for every node in one pass.
+func (g *Graph) Trapped(within *Bitset) *Bitset {
+	trapped := g.dead.Clone()
+	trapped.Intersect(within)
+	g.eachFairRunComponent(within, func(comp []int) bool {
+		for _, v := range comp {
+			trapped.Add(v)
+		}
+		return true
+	})
+	var stack []int
+	for id := trapped.NextAfter(-1); id >= 0; id = trapped.NextAfter(id) {
+		stack = append(stack, id)
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.In(id) {
+			if within.Has(e.To) && !trapped.Has(e.To) {
+				trapped.Add(e.To)
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	return trapped
+}
+
+// eachFairRunComponent calls fn, in the fair SCC pass's order, on every SCC
+// of the fair view inside `within` that admits a fair run, until fn returns
+// false. One membership set serves every component: each component's bits
+// are set before its tests and cleared after, so the pass allocates one
+// n-bit set however many components there are.
+func (g *Graph) eachFairRunComponent(within *Bitset, fn func(comp []int) bool) {
 	comps := g.fairSCCs(within)
+	member := NewBitset(g.n)
 	for _, comp := range comps {
-		member := NewBitset(g.n)
 		for _, v := range comp {
 			member.Add(v)
 		}
-		if !g.hasInternalFairEdge(member, comp) {
-			continue
+		admits := g.hasInternalFairEdge(member, comp) && g.sccAdmitsFairRun(member, comp)
+		for _, v := range comp {
+			member.Remove(v)
 		}
-		if g.sccAdmitsFairRun(member, comp) {
-			return comp
+		if admits && !fn(comp) {
+			return
 		}
 	}
-	return nil
 }
 
 // fairSCCs computes SCCs of the subgraph with only fair-action edges,

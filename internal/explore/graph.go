@@ -426,12 +426,19 @@ func csrFromLists(out [][]Edge) ([]uint32, []Edge) {
 	return off, edges
 }
 
-// newAdjacencyGraph builds a bare structural graph (no program, schema, or
-// states) from explicit adjacency lists; property tests use it to exercise
-// the graph algorithms on arbitrary shapes. Every action is enabled
+// newAdjacencyGraph builds a bare structural graph (no program) from
+// explicit adjacency lists; property tests use it to exercise the graph
+// algorithms on arbitrary shapes. Node i's state is the single variable
+// node = i, so witnesses can be extracted. Every action is enabled
 // everywhere and nothing is deadlocked.
 func newAdjacencyGraph(out [][]Edge, fair []bool) *Graph {
-	g := &Graph{n: len(out), fair: fair, numActs: len(fair), memo: newGraphMemo()}
+	g := &Graph{n: len(out), nv: 1, fair: fair, numActs: len(fair), memo: newGraphMemo()}
+	g.schema = state.MustSchema(state.IntVar("node", max(g.n, 1)))
+	g.vals = make([]int32, g.n)
+	g.idxs = make([]uint64, g.n)
+	for i := range g.vals {
+		g.vals[i], g.idxs[i] = int32(i), uint64(i)
+	}
 	g.outOff, g.outEdges = csrFromLists(out)
 	g.buildIn()
 	g.enabled = make([]*Bitset, g.numActs)

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -190,8 +191,12 @@ func (g *Graph) memoCheckEventually(from, goal *Bitset) *LivenessViolation {
 // fairEdgeView returns the fair-edge-only view the SCC pass runs on,
 // computed once per graph. Dropping the `within` term from the edge filter is
 // sound because SCCs(within) never opens a frame for — and therefore never
-// reads the out-edges of — a node outside within.
+// reads the out-edges of — a node outside within. A graph whose actions are
+// all fair is its own fair view, so no edge copy is made for it.
 func (g *Graph) fairEdgeView() *Graph {
+	if !slices.Contains(g.fair, false) {
+		return g
+	}
 	m := g.memo
 	if m == nil {
 		return g.filterEdges(func(from int, e Edge) bool { return g.fair[e.Action] }, false)

@@ -300,3 +300,152 @@ func mapComplement(m map[int]bool, n int) map[int]bool {
 	}
 	return out
 }
+
+// randFairGraph builds a random graph over one to three actions, each unfair
+// with probability 1/4, whose enabledness follows its edges: action a is
+// enabled at v iff v has an a-edge, and v is deadlocked iff no fair action
+// is enabled there. About one node in five has no edges at all, and some
+// others keep only unfair edges, so deadlocks, unfair escapes and fair
+// cycles all occur.
+func randFairGraph(rng *rand.Rand, n int) *Graph {
+	fair := make([]bool, 1+rng.Intn(3))
+	for a := range fair {
+		fair[a] = rng.Intn(4) != 0
+	}
+	edgeProb := 0.1 + rng.Float64()*0.25
+	out := make([][]Edge, n)
+	for v := range out {
+		if rng.Intn(5) == 0 {
+			continue
+		}
+		for w := 0; w < n; w++ {
+			if rng.Float64() < edgeProb {
+				out[v] = append(out[v], Edge{Action: rng.Intn(len(fair)), To: w})
+			}
+		}
+	}
+	g := newAdjacencyGraph(out, fair)
+	for a := range g.enabled {
+		g.enabled[a] = NewBitset(n)
+	}
+	for v := range out {
+		for _, e := range out[v] {
+			g.enabled[e.Action].Add(v)
+		}
+	}
+	g.dead = g.computeDead(fair)
+	return g
+}
+
+// naiveFairRun decides whether some SCC of the fair-edge subgraph inside
+// within admits a weakly fair run, without Tarjan: components come from
+// mutual reachability by map-based search, and a component admits a fair
+// run iff it has an internal fair edge and every fair action enabled at all
+// of its states has an internal transition.
+func naiveFairRun(g *Graph, within *Bitset) bool {
+	n := g.NumNodes()
+	fairReach := func(v int) map[int]bool {
+		seen := map[int]bool{v: true}
+		queue := []int{v}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, e := range g.Out(u) {
+				if g.FairAction(e.Action) && within.Has(e.To) && !seen[e.To] {
+					seen[e.To] = true
+					queue = append(queue, e.To)
+				}
+			}
+		}
+		return seen
+	}
+	reach := make([]map[int]bool, n)
+	for v := 0; v < n; v++ {
+		if within.Has(v) {
+			reach[v] = fairReach(v)
+		}
+	}
+	for v := 0; v < n; v++ {
+		if !within.Has(v) {
+			continue
+		}
+		comp := map[int]bool{}
+		for w := range reach[v] {
+			if reach[w][v] {
+				comp[w] = true
+			}
+		}
+		internal := map[int]bool{} // actions with a transition inside comp
+		for u := range comp {
+			for _, e := range g.Out(u) {
+				if g.FairAction(e.Action) && comp[e.To] {
+					internal[e.Action] = true
+				}
+			}
+		}
+		if len(internal) == 0 {
+			continue
+		}
+		admits := true
+		for a := 0; a < len(g.fair); a++ {
+			if !g.FairAction(a) || internal[a] {
+				continue
+			}
+			everywhere := true
+			for u := range comp {
+				if !g.Enabled(u, a) {
+					everywhere = false
+				}
+			}
+			if everywhere {
+				admits = false
+			}
+		}
+		if admits {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTrappedAgainstCheckEventually checks the one-pass liveness helpers on
+// random graphs with random fairness masks, deadlocks and unfair edges:
+// Trapped(within) holds exactly the nodes from which a single-state
+// CheckEventually towards ¬within fails, and FairCycle(within) finds a
+// component exactly when the naive decision finds a fair-run-admitting SCC.
+func TestTrappedAgainstCheckEventually(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(16)
+		g := randFairGraph(rng, n)
+		within, _ := randBitset(rng, n)
+		if seed%5 == 0 {
+			within.Fill()
+		}
+		outside := within.Complement()
+
+		trapped := g.Trapped(within)
+		if !trapped.SubsetOf(within) {
+			t.Fatalf("seed %d: Trapped leaves within", seed)
+		}
+		for v := 0; v < n; v++ {
+			from := NewBitset(n)
+			from.Add(v)
+			escapes := g.CheckEventually(from, outside) == nil
+			if trapped.Has(v) == escapes {
+				t.Fatalf("seed %d: node %d: trapped=%v but CheckEventually violation=%v",
+					seed, v, trapped.Has(v), !escapes)
+			}
+		}
+
+		comp := g.FairCycle(within)
+		if want := naiveFairRun(g, within); (comp != nil) != want {
+			t.Fatalf("seed %d: FairCycle found=%v, naive fair SCC=%v", seed, comp != nil, want)
+		}
+		for _, v := range comp {
+			if !trapped.Has(v) {
+				t.Fatalf("seed %d: fair cycle node %d not trapped", seed, v)
+			}
+		}
+	}
+}

@@ -85,17 +85,3 @@ func (g *Graph) SCCs(within *Bitset) [][]int {
 	}
 	return comps
 }
-
-// hasInternalEdge reports whether the component (given as a membership set)
-// has at least one edge between its members. Trivial single-node components
-// without self-loops admit no infinite run.
-func (g *Graph) hasInternalEdge(member *Bitset, comp []int) bool {
-	for _, v := range comp {
-		for _, e := range g.Out(v) {
-			if member.Has(e.To) {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -81,6 +81,10 @@ type Server struct {
 	// Tests use it to hold evaluations open while they probe admission,
 	// dedup, and drain behaviour. Never set in production.
 	testGate func()
+	// testMissed, when non-nil, runs in every request between its verdict
+	// cache miss and its flight lookup. Tests use it to hold a request in
+	// that gap while another flight publishes. Never set in production.
+	testMissed func()
 }
 
 // flight is one in-progress evaluation, shared by every request that asked
@@ -289,6 +293,9 @@ func (s *Server) verdict(ctx context.Context, req api.Request, tenant string, pr
 	if resp, ok := s.verdicts.get(key); ok {
 		return resp, "hit", nil
 	}
+	if s.testMissed != nil {
+		s.testMissed()
+	}
 
 	s.mu.Lock()
 	if fl, ok := s.flights[key]; ok {
@@ -300,8 +307,15 @@ func (s *Server) verdict(ctx context.Context, req api.Request, tenant string, pr
 		resp, err := s.wait(ctx, key, fl, tenant)
 		return resp, "join", err
 	}
-	// No flight to join: admission. The slot is acquired before the flight
-	// exists, so a saturated server refuses instead of accumulating work.
+	// No flight to join. A flight that finished since the cache miss above
+	// published its verdict before leaving s.flights (see run), so one
+	// look under the lock catches it instead of evaluating again.
+	if resp, ok := s.verdicts.get(key); ok {
+		s.mu.Unlock()
+		return resp, "hit", nil
+	}
+	// Admission. The slot is acquired before the flight exists, so a
+	// saturated server refuses instead of accumulating work.
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -350,12 +364,14 @@ func (s *Server) run(ctx context.Context, fl *flight, key [sha256.Size]byte, req
 	}
 	s.met.observeEval(time.Since(start))
 
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.mu.Unlock()
+	// Publish to the verdict cache before retiring the flight: a request
+	// that finds no flight must then find the verdict.
 	if fl.err == nil {
 		s.verdicts.put(key, req, fl.resp)
 	}
+	s.mu.Lock()
+	delete(s.flights, key)
+	s.mu.Unlock()
 	close(fl.done)
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,6 +192,64 @@ func TestServerAdmissionAndDedup(t *testing.T) {
 	}
 	if !bytes.Equal(bodies[0], bodies[1]) {
 		t.Errorf("joined verdict differs from computed one:\n%s\n%s", bodies[0], bodies[1])
+	}
+}
+
+// TestServerMissDuringPublish holds a second request between its verdict
+// cache miss and its flight lookup while the first request's flight
+// publishes and retires. The held request must then answer from the
+// published verdict: a second evaluation of the same key is the dedup race
+// that made the client swarm count extra evaluations under load.
+func TestServerMissDuringPublish(t *testing.T) {
+	var evals, misses atomic.Int32
+	entered := make(chan struct{}, 4)
+	gate := make(chan struct{})
+	held := make(chan struct{})
+	release := make(chan struct{})
+	srv := NewServer(Config{})
+	srv.testGate = func() {
+		evals.Add(1)
+		entered <- struct{}{}
+		<-gate
+	}
+	srv.testMissed = func() {
+		if misses.Add(1) == 2 {
+			close(held)
+			<-release
+		}
+	}
+	defer srv.Shutdown(context.Background())
+
+	req := api.Request{Program: corpus.Ring3, Check: api.CheckDeadlock}
+	type result struct {
+		resp  *api.Response
+		cache string
+		err   error
+	}
+	ask := func(out chan<- result) {
+		resp, cache, err := srv.verdict(context.Background(), req, "", nil)
+		out <- result{resp, cache, err}
+	}
+	first, second := make(chan result, 1), make(chan result, 1)
+	go ask(first)
+	<-entered // the first flight is evaluating
+	go ask(second)
+	<-held // the second request missed the cache and waits before the lookup
+	close(gate)
+	r1 := <-first // the first flight has published and retired
+	close(release)
+	r2 := <-second
+	if r1.err != nil || r2.err != nil {
+		t.Fatalf("verdicts failed: %v, %v", r1.err, r2.err)
+	}
+	if n := evals.Load(); n != 1 {
+		t.Errorf("evaluations = %d, want 1", n)
+	}
+	if r1.cache != "miss" || r2.cache != "hit" {
+		t.Errorf("cache states = %q, %q; want miss, hit", r1.cache, r2.cache)
+	}
+	if r2.resp != r1.resp {
+		t.Error("held request did not receive the published verdict")
 	}
 }
 
