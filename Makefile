@@ -9,10 +9,10 @@ LINT_CLEAN := $(filter-out \
 	internal/lint/testdata/resolve.gcl, \
 	$(wildcard internal/lint/testdata/*.gcl))
 
-.PHONY: check build fmt vet dcvet dccodes test race serve-test watch-test lint prove flow fuzz bench bench-diff bench-spill bench-slice bench-incr profile clean
+.PHONY: check build fmt vet dcvet dccodes test race serve-test watch-test lint prove flow fuzz bench-build bench bench-diff bench-spill bench-slice bench-incr profile clean
 
 # The full local gate: everything CI would run.
-check: build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz
+check: build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz bench-build
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,13 @@ flow:
 fuzz:
 	$(GO) test ./internal/gcl -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/gcl -run='^$$' -fuzz=FuzzCompile -fuzztime=10s
+
+# The benchmark (verdictbench/) is a module of its own, so ./... above never
+# compiles it: vet it and run its short tests here, so an API change cannot
+# silently break the benchmark's build. -short skips the tests that start
+# and kill child processes.
+bench-build:
+	cd verdictbench && $(GO) vet ./... && $(GO) test -short ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -2,7 +2,7 @@ package main
 
 // The -slice sweep measures the cone-of-influence pre-pass end to end: for
 // each composed benchmark system it runs the same verdict twice — once on a
-// fresh, unregistered compile (the hooks cannot see it, so the check
+// fresh, uncertified compile (no slice tier is attached to it, so the check
 // explores the full product space) and once on a flow-certified compile
 // (the slicer serves the verdict from the cone's state space) — and prints
 // one JSON line per system with both wall times and state counts. The

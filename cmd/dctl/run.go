@@ -115,13 +115,13 @@ func loadFile(fs *flag.FlagSet, args []string, errOut io.Writer) (*gcl.File, err
 	}
 	f.Src = string(src)
 	// Certification is best-effort: when the prover can re-derive the
-	// system from the AST, the closure and component checks consult it
-	// before exploring; otherwise they explore as before.
+	// system from the AST, it joins the program's verdict ladder ahead of
+	// exploration; otherwise the checks explore as before.
 	if err := prove.Certify(f); err != nil {
 		fmt.Fprintf(errOut, "dctl: prover certification skipped: %v\n", err)
 	}
-	// Same for slicing: a Writes-metadata mismatch only disables the
-	// cone-of-influence pre-pass for this file, never the command.
+	// Same for slicing: a Writes-metadata mismatch only leaves the
+	// cone-of-influence tier off this file's ladder, never the command.
 	if err := flow.Certify(f); err != nil {
 		fmt.Fprintf(errOut, "dctl: slice certification skipped: %v\n", err)
 	}

@@ -7,7 +7,7 @@ import (
 	"detcorr/internal/explore"
 	"detcorr/internal/fault"
 	"detcorr/internal/guarded"
-	"detcorr/internal/spec"
+	"detcorr/internal/ladder"
 	"detcorr/internal/state"
 )
 
@@ -43,47 +43,18 @@ func (c Corrector) Check() error {
 	return c.CheckCtx(context.Background())
 }
 
-// CheckCtx is Check under a context: cancellation aborts the graph build
-// (and the closure scan on the error path) with ctx.Err().
+// CheckCtx is Check under a context: cancellation stops every tier of the
+// ladder with ctx.Err(). It runs the same ladder as Detector.CheckCtx.
 func (c Corrector) CheckCtx(ctx context.Context) error {
-	// Same ordering as Detector.CheckCtx: a cached (or repaired) graph
-	// decides the check in linear set operations, so the prover and slicer
-	// accelerators only run when the graph would have to be built.
-	if _, cached := explore.Peek(c.C, c.U, explore.Options{}); !cached {
-		if componentProver != nil && componentProver("corrector", c.C, c.Z, c.X, c.U) {
-			return nil
-		}
-		if componentSlicer != nil {
-			if verdict, ok := componentSlicer(ctx, "corrector", c.C, c.Z, c.X, c.U); ok && verdict == nil {
-				return nil
+	return checkComponent(ctx, ladder.Query{Kind: ladder.Corrects, P: c.C, Z: c.Z, X: c.X, U: c.U},
+		c.String, func(g *explore.Graph, reach *explore.Bitset) error {
+			if err := c.detectorView().checkOn(g, reach, true); err != nil {
+				cerr := err.(*ConditionError)
+				cerr.Component = c.String()
+				return cerr
 			}
-			// A sliced violation proves one exists; fall through so the
-			// full-space check reports full-width witness states.
-		}
-	}
-	g, err := explore.SharedCtx(ctx, c.C, c.U, explore.Options{})
-	if err != nil {
-		// A cancelled build is the caller walking away, not a verdict.
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		// Historical error precedence: closure (or enumeration) problems
-		// are reported before the build failure.
-		if cerr := spec.CheckClosedCtx(ctx, c.C, c.U); cerr != nil {
-			return &ConditionError{Component: c.String(), Condition: "Closure", Cause: cerr}
-		}
-		return err
-	}
-	if cerr := spec.CheckClosedOn(g, c.U); cerr != nil {
-		return &ConditionError{Component: c.String(), Condition: "Closure", Cause: cerr}
-	}
-	reach := g.Reach(g.SetOf(c.U), nil)
-	if err := c.detectorView().checkOn(g, reach, true); err != nil {
-		cerr := err.(*ConditionError)
-		cerr.Component = c.String()
-		return cerr
-	}
-	return c.checkConvergence(g, reach)
+			return c.checkConvergence(g, reach)
+		})
 }
 
 // checkConvergence verifies the Convergence condition of 'Z corrects X' on

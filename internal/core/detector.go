@@ -7,6 +7,7 @@ import (
 	"detcorr/internal/explore"
 	"detcorr/internal/fault"
 	"detcorr/internal/guarded"
+	"detcorr/internal/ladder"
 	"detcorr/internal/spec"
 	"detcorr/internal/state"
 )
@@ -46,87 +47,63 @@ func (d Detector) String() string {
 	return fmt.Sprintf("detector %s: %s detects %s from %s", name, d.Z, d.X, d.U)
 }
 
-// ComponentProver is an optional exploration-free fast path for the
-// detector and corrector checks: it reports true only when it has proved
-// every condition of the component specification (kind is "detector" or
-// "corrector") for all U-states — a superset of the reachable states the
-// graph check inspects, so a proof soundly implies the graph verdict.
-// Anything short of a proof returns false and Check falls back to
-// exploration; registering a prover never changes a verdict.
-// internal/prove registers one via Certify.
-type ComponentProver func(kind string, p *guarded.Program, z, x, u state.Predicate) bool
-
-var componentProver ComponentProver
-
-// RegisterComponentProver installs the fast path. Passing nil removes it.
-func RegisterComponentProver(f ComponentProver) { componentProver = f }
-
-// ComponentSlicer is an optional cone-of-influence pre-pass for the
-// detector and corrector checks: it runs the component check on a sliced
-// program whose verdicts provably coincide with the full program's,
-// returning (verdict, true) when it decided the check and (_, false) when
-// slicing does not apply. Callers accept a nil verdict directly but
-// re-derive violations full-width, so reported witness states always
-// carry every variable. internal/flow registers one via Certify.
-type ComponentSlicer func(ctx context.Context, kind string, p *guarded.Program, z, x, u state.Predicate) (error, bool)
-
-var componentSlicer ComponentSlicer
-
-// RegisterComponentSlicer installs the slicing pre-pass. Passing nil
-// removes it.
-func RegisterComponentSlicer(f ComponentSlicer) { componentSlicer = f }
-
 // Check decides whether D refines 'Z detects X' from U. Refinement from U
 // requires U closed in D; Safeness, Progress and Stability are then checked
-// over the states reachable from U. A registered prover that discharges
-// the obligations for all U-states short-circuits the graph construction.
+// over the states reachable from U. The check runs the verdict ladder: a
+// cached graph from U, then any attached prover or slicer, then the build.
 func (d Detector) Check() error {
 	return d.CheckCtx(context.Background())
 }
 
-// CheckCtx is Check under a context: cancellation aborts the graph build
-// (and the closure scan on the error path) with ctx.Err(). The condition
-// checks on the built graph are not interruptible — they are linear set
-// operations on an already-paid-for graph.
+// CheckCtx is Check under a context: cancellation stops every tier of the
+// ladder with ctx.Err(). The condition checks on a built graph are not
+// interruptible — they are linear set operations on an already-paid-for
+// graph.
 func (d Detector) CheckCtx(ctx context.Context) error {
-	// With the graph already cached the conditions cost linear set
-	// operations, cheaper than re-running the prover's abstract
-	// enumeration or the slicer's re-exploration — so both accelerators
-	// only pay for themselves when the graph would have to be built.
-	// Repaired graphs (explore.Repair) land in the cache under the new
-	// program, so incremental re-verification takes this fast path.
-	if _, cached := explore.Peek(d.D, d.U, explore.Options{}); !cached {
-		if componentProver != nil && componentProver("detector", d.D, d.Z, d.X, d.U) {
-			return nil
+	return checkComponent(ctx, ladder.Query{Kind: ladder.Detects, P: d.D, Z: d.Z, X: d.X, U: d.U},
+		d.String, func(g *explore.Graph, reach *explore.Bitset) error { return d.checkOn(g, reach, true) })
+}
+
+// checkComponent is the detector and corrector ladder. The cache tier is a
+// graph from U already built — or repaired by explore.Repair, which lands
+// it in the cache under the new program, so incremental re-verification
+// takes this tier; the explore tier builds it. Either way the component
+// conditions run on the graph: closure of U, then conditions over the
+// states reachable from U.
+func checkComponent(ctx context.Context, q ladder.Query, name func() string, conditions func(*explore.Graph, *explore.Bitset) error) error {
+	onGraph := func(g *explore.Graph) error {
+		if cerr := spec.CheckClosedOn(g, q.U); cerr != nil {
+			return &ConditionError{Component: name(), Condition: "Closure", Cause: cerr}
 		}
-		if componentSlicer != nil {
-			if verdict, ok := componentSlicer(ctx, "detector", d.D, d.Z, d.X, d.U); ok && verdict == nil {
-				return nil
+		return conditions(g, g.Reach(g.SetOf(q.U), nil))
+	}
+	return ladder.Decide(ctx, q,
+		func(context.Context) (error, bool) {
+			g, ok := explore.Peek(q.P, q.U, explore.Options{})
+			if !ok {
+				return nil, false
 			}
-			// A sliced violation proves one exists; fall through so the
-			// full-space check reports full-width witness states.
-		}
-	}
-	g, err := explore.SharedCtx(ctx, d.D, d.U, explore.Options{})
-	if err != nil {
-		// A cancelled build is the caller walking away, not a verdict; do
-		// not mask it with the closure re-check below.
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		// Preserve the historical error precedence: a closure problem (or
-		// the enumeration error explaining why neither scan nor build can
-		// run) is reported before the build failure.
-		if cerr := spec.CheckClosedCtx(ctx, d.D, d.U); cerr != nil {
-			return &ConditionError{Component: d.String(), Condition: "Closure", Cause: cerr}
-		}
-		return err
-	}
-	if cerr := spec.CheckClosedOn(g, d.U); cerr != nil {
-		return &ConditionError{Component: d.String(), Condition: "Closure", Cause: cerr}
-	}
-	reach := g.Reach(g.SetOf(d.U), nil)
-	return d.checkOn(g, reach, true)
+			return onGraph(g), true
+		},
+		func(ctx context.Context) error {
+			g, err := explore.SharedCtx(ctx, q.P, q.U, explore.Options{})
+			if err != nil {
+				// A cancelled build is the caller walking away, not a
+				// verdict; do not mask it with the closure re-check below.
+				if cerr := ctx.Err(); cerr != nil {
+					return cerr
+				}
+				// Preserve the historical error precedence: a closure
+				// problem (or the enumeration error explaining why neither
+				// scan nor build can run) is reported before the build
+				// failure.
+				if cerr := spec.CheckClosedCtx(ctx, q.P, q.U); cerr != nil {
+					return &ConditionError{Component: name(), Condition: "Closure", Cause: cerr}
+				}
+				return err
+			}
+			return onGraph(g)
+		})
 }
 
 // checkOn verifies the detector conditions on a prebuilt graph restricted to

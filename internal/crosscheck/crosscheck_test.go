@@ -7,6 +7,7 @@ import (
 	"detcorr/internal/core"
 	"detcorr/internal/explore"
 	"detcorr/internal/fault"
+	"detcorr/internal/gcl"
 	"detcorr/internal/guarded"
 	"detcorr/internal/runtime"
 	"detcorr/internal/spec"
@@ -275,4 +276,40 @@ func renameAll(actions []guarded.Action, prefix string) []guarded.Action {
 		out[i] = a.WithName(prefix + "." + a.Name)
 	}
 	return out
+}
+
+// TestGenerateSourceMatchesGenerate pins the GCL rendering against the
+// program Generate builds from the same seed: the compiled source must
+// have the same schema size and, state by state, the same transitions
+// (action index and successor state).
+func TestGenerateSourceMatchesGenerate(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		cfg := GenConfig{Vars: 1 + int(seed%4), Actions: 1 + int(seed%5), MaxWrites: 1 + int(seed%3)}
+		p, err := Generate(seed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := GenerateSource(seed, cfg, 2)
+		f, err := gcl.ParseAndCompile(src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		n, _ := p.Schema().NumStates()
+		if m, _ := f.Program.Schema().NumStates(); m != n {
+			t.Fatalf("seed %d: %d states, want %d", seed, m, n)
+		}
+		for i := uint64(0); i < n; i++ {
+			want := p.Successors(p.Schema().StateAt(i))
+			got := f.Program.Successors(f.Program.Schema().StateAt(i))
+			if len(got) != len(want) {
+				t.Fatalf("seed %d state %d: %d transitions, want %d\n%s", seed, i, len(got), len(want), src)
+			}
+			for k := range want {
+				if got[k].Action != want[k].Action || got[k].To.Index() != want[k].To.Index() {
+					t.Fatalf("seed %d state %d: transition %d is %d->%d, want %d->%d\n%s", seed, i, k,
+						got[k].Action, got[k].To.Index(), want[k].Action, want[k].To.Index(), src)
+				}
+			}
+		}
+	}
 }

@@ -10,6 +10,7 @@ package crosscheck
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"detcorr/internal/guarded"
 	"detcorr/internal/state"
@@ -39,6 +40,42 @@ func (c GenConfig) withDefaults() GenConfig {
 	return c
 }
 
+// genLit is one guard literal: v is true (pos) or false.
+type genLit struct {
+	v   int
+	pos bool
+}
+
+// genWrite is one effect step on variable v.
+type genWrite struct {
+	v    int
+	mode int // 0: set, 1: clear, 2: flip
+}
+
+type genAction struct {
+	lits   []genLit
+	writes []genWrite // applied in order
+}
+
+// draw makes the seeded random choices Generate and GenerateSource share.
+func draw(rng *rand.Rand, cfg GenConfig) []genAction {
+	actions := make([]genAction, cfg.Actions)
+	for a := range actions {
+		// Guard: a conjunction of 1..MaxLits random literals.
+		lits := make([]genLit, 1+rng.Intn(cfg.MaxLits))
+		for i := range lits {
+			lits[i] = genLit{v: rng.Intn(cfg.Vars), pos: rng.Intn(2) == 0}
+		}
+		// Effect: write 1..MaxWrites variables with constants or flips.
+		writes := make([]genWrite, 1+rng.Intn(cfg.MaxWrites))
+		for i := range writes {
+			writes[i] = genWrite{v: rng.Intn(cfg.Vars), mode: rng.Intn(3)}
+		}
+		actions[a] = genAction{lits: lits, writes: writes}
+	}
+	return actions
+}
+
 // Generate builds a random deterministic boolean program. The same seed
 // yields the same program.
 func Generate(seed int64, cfg GenConfig) (*guarded.Program, error) {
@@ -52,20 +89,11 @@ func Generate(seed int64, cfg GenConfig) (*guarded.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	actions := make([]guarded.Action, cfg.Actions)
-	for a := range actions {
-		// Guard: a conjunction of 1..MaxLits random literals.
-		nLits := 1 + rng.Intn(cfg.MaxLits)
-		type lit struct {
-			v   int
-			pos bool
-		}
-		lits := make([]lit, nLits)
-		for i := range lits {
-			lits[i] = lit{v: rng.Intn(cfg.Vars), pos: rng.Intn(2) == 0}
-		}
+	drawn := draw(rng, cfg)
+	actions := make([]guarded.Action, len(drawn))
+	for a, ga := range drawn {
 		guardName := ""
-		for i, l := range lits {
+		for i, l := range ga.lits {
 			if i > 0 {
 				guardName += " ∧ "
 			}
@@ -74,28 +102,18 @@ func Generate(seed int64, cfg GenConfig) (*guarded.Program, error) {
 			}
 			guardName += fmt.Sprintf("v%d", l.v)
 		}
-		litsCopy := append([]lit(nil), lits...)
+		lits := ga.lits
 		guard := state.Pred(guardName, func(s state.State) bool {
-			for _, l := range litsCopy {
+			for _, l := range lits {
 				if s.Bool(l.v) != l.pos {
 					return false
 				}
 			}
 			return true
 		})
-		// Effect: write 1..MaxWrites variables with constants or flips.
-		nw := 1 + rng.Intn(cfg.MaxWrites)
-		type write struct {
-			v    int
-			mode int // 0: set, 1: clear, 2: flip
-		}
-		writes := make([]write, nw)
-		for i := range writes {
-			writes[i] = write{v: rng.Intn(cfg.Vars), mode: rng.Intn(3)}
-		}
-		writesCopy := append([]write(nil), writes...)
+		writes := ga.writes
 		actions[a] = guarded.Det(fmt.Sprintf("a%d", a), guard, func(s state.State) state.State {
-			for _, w := range writesCopy {
+			for _, w := range writes {
 				switch w.mode {
 				case 0:
 					s = s.WithBool(w.v, true)
@@ -109,6 +127,72 @@ func Generate(seed int64, cfg GenConfig) (*guarded.Program, error) {
 		})
 	}
 	return guarded.NewProgram(fmt.Sprintf("rand%d", seed), sch, actions...)
+}
+
+// GenerateSource renders the program Generate(seed, cfg) builds as GCL
+// source, so the prover and the slicer, which work on source, can see it
+// too. Each action's sequential writes become one simultaneous assignment
+// of their net effect. The file also declares preds random predicates
+// P0..P{preds-1}, each a disjunction of up to two conjunctions of up to
+// two literals, drawn after the program from the same seed.
+func GenerateSource(seed int64, cfg GenConfig, preds int) string {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(seed))
+	drawn := draw(rng, cfg)
+	var b strings.Builder
+	fmt.Fprintf(&b, "program rand%d\n\n", seed)
+	for i := 0; i < cfg.Vars; i++ {
+		fmt.Fprintf(&b, "var v%d : bool\n", i)
+	}
+	lit := func(l genLit) string {
+		if l.pos {
+			return fmt.Sprintf("v%d", l.v)
+		}
+		return fmt.Sprintf("!v%d", l.v)
+	}
+	b.WriteString("\n")
+	for i := 0; i < preds; i++ {
+		var terms []string
+		for t := 1 + rng.Intn(2); t > 0; t-- {
+			var ls []string
+			for k := 1 + rng.Intn(2); k > 0; k-- {
+				ls = append(ls, lit(genLit{v: rng.Intn(cfg.Vars), pos: rng.Intn(2) == 0}))
+			}
+			terms = append(terms, "("+strings.Join(ls, " & ")+")")
+		}
+		fmt.Fprintf(&b, "pred P%d :: %s\n", i, strings.Join(terms, " | "))
+	}
+	b.WriteString("\n")
+	for a, ga := range drawn {
+		guard := make([]string, len(ga.lits))
+		for i, l := range ga.lits {
+			guard[i] = lit(l)
+		}
+		// Net effect per variable: 0 keep, 1 set, 2 clear, 3 flip.
+		net := make([]int, cfg.Vars)
+		written := make([]bool, cfg.Vars)
+		for _, w := range ga.writes {
+			written[w.v] = true
+			switch w.mode {
+			case 0:
+				net[w.v] = 1
+			case 1:
+				net[w.v] = 2
+			default:
+				net[w.v] = [...]int{3, 2, 1, 0}[net[w.v]]
+			}
+		}
+		var assigns []string
+		for v := range net {
+			if !written[v] {
+				continue
+			}
+			rhs := [...]string{fmt.Sprintf("v%d", v), "true", "false", fmt.Sprintf("!v%d", v)}[net[v]]
+			assigns = append(assigns, fmt.Sprintf("v%d := %s", v, rhs))
+		}
+		fmt.Fprintf(&b, "action a%d :: %s -> %s\n", a, strings.Join(guard, " & "), strings.Join(assigns, ", "))
+	}
+	return b.String()
 }
 
 // RandomPredicate returns a seeded random predicate over the program's

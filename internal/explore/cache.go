@@ -14,7 +14,7 @@ import (
 // The graph cache is the process-wide memo behind Shared: checkers that need
 // the transition graph of (program, init, fairness, bound) get the one
 // already built instead of re-exploring the state space. Identity follows
-// the same discipline as the prove.Certify registry — a program is its
+// the same discipline as the verdict ladder's accelerators — a program is its
 // *guarded.Program pointer — combined with the init predicate's name (see
 // memoizablePredName for the naming contract), the fairness mask, and the
 // MaxStates bound. The bound belongs in the key: an unbounded graph must not

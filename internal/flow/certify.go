@@ -2,33 +2,30 @@ package flow
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"detcorr/internal/core"
-	"detcorr/internal/explore"
 	"detcorr/internal/gcl"
-	"detcorr/internal/guarded"
+	"detcorr/internal/ladder"
 	"detcorr/internal/prove"
 	"detcorr/internal/spec"
 	"detcorr/internal/state"
 )
 
-// The slicing registry connects compiled programs back to their dependence
-// analysis, so the graph-based checks in spec and core can try a sliced
-// kernel before building the full state space. Like prove's certification
-// registry, it is keyed by the *guarded.Program pointer: composed or
-// hand-assembled programs miss the fast path, and sliced programs are
-// never registered, so a sliced check can never recurse into the slicer.
+// The slice tier of the verdict ladder (internal/ladder). Certify attaches
+// one per compiled program, keyed by the *guarded.Program pointer: composed
+// or hand-assembled programs have none, and sliced programs are never
+// flow-certified, so a sliced check can never recurse into the slicer.
 //
-// The hooks are sound by construction: a sliced PASS is returned directly
+// The tier is sound by construction: a sliced PASS decides the verdict
 // (the cone projection argument in DESIGN.md §3i shows the verdicts
-// coincide), while a sliced violation is discarded and the full-space
-// check re-runs — the public path therefore always reports the same
-// witness states, full-width, that the unsliced check would have.
+// coincide), while a sliced violation is a decline and the ladder goes on
+// to the full-space check — the public path therefore always reports the
+// same witness states, full-width, that the unsliced check would have. The
+// sliced check runs its own nested ladder on the same verdict budget.
 
 type sliceEntry struct {
 	f    *gcl.File
@@ -42,29 +39,23 @@ type sliceResult struct {
 	sl *Slice // nil when slicing does not apply to these targets
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[*guarded.Program]*sliceEntry{}
-	hookOnce sync.Once
-	disabled atomic.Bool
-)
+var disabled atomic.Bool
 
-// SetEnabled turns the slicing pre-pass on or off process-wide (it is on
-// once Certify has installed the hooks). Disabling never discards
-// analysis — the registry stays populated — it only makes the hooks
-// decline, so every check runs full-width.
+// SetEnabled turns the slice tier on or off process-wide (it is on by
+// default). Disabling never discards analysis — the attached tiers stay —
+// it only makes them decline, so every check runs full-width.
 func SetEnabled(on bool) { disabled.Store(!on) }
 
-// Enabled reports whether the slicing pre-pass is active.
+// Enabled reports whether the slice tier is active.
 func Enabled() bool { return !disabled.Load() }
 
 // Certify prepares a compiled file for cone-of-influence slicing: the
 // file's dependence analysis is computed, its Writes metadata is
 // cross-checked against the inferred sets (a mismatch is returned as an
-// error and the file is not registered), and the spec/core slicer hooks
-// are installed. Files without an AST are skipped silently. Like prover
-// certification, slicing never changes a verdict — hooks return sliced
-// results only where the cone argument applies and fall back otherwise.
+// error and no tier is attached), and the slice tier is attached to its
+// program's ladder. Files without an AST are skipped silently. Like prover
+// certification, slicing never changes a verdict — the tier decides only
+// sliced passes.
 func Certify(f *gcl.File) error {
 	if f == nil || f.AST == nil || f.Program == nil {
 		return nil
@@ -72,19 +63,8 @@ func Certify(f *gcl.File) error {
 	if err := ValidateWrites(f); err != nil {
 		return err
 	}
-	regMu.Lock()
-	if _, ok := registry[f.Program]; !ok {
-		registry[f.Program] = &sliceEntry{f: f, info: Analyze(f.AST), slices: map[string]*sliceResult{}}
-	}
-	regMu.Unlock()
-	hookOnce.Do(installHooks)
+	ladder.Attach(f.Program, &sliceEntry{f: f, info: Analyze(f.AST), slices: map[string]*sliceResult{}})
 	return nil
-}
-
-func lookup(p *guarded.Program) *sliceEntry {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registry[p]
 }
 
 // sliceFor returns the memoized slice for the given named targets, or nil
@@ -107,8 +87,8 @@ func (e *sliceEntry) sliceFor(targets []string) *Slice {
 	cone, err := e.info.Cone(names...)
 	if err == nil && len(cone.Vars) > 0 && len(cone.Vars) < len(e.info.Vars) {
 		if sl, serr := sliceInfo(e.info, e.f, names...); serr == nil {
-			// The slice is a first-class compiled file: give it the prover
-			// fast path too. It is deliberately NOT flow-certified.
+			// The slice is a first-class compiled file: give it the prove
+			// tier too. It is deliberately NOT flow-certified.
 			_ = prove.Certify(sl.File)
 			r.sl = sl
 		}
@@ -147,93 +127,46 @@ func slicedPred(sl *Slice, p state.Predicate) (state.Predicate, bool) {
 	return sp, ok
 }
 
-// isVerdict distinguishes a property violation (a genuine fails verdict)
-// from an operational error. Only violations may be forwarded from a
-// sliced run — and even those are re-derived full-width by the caller —
-// while operational errors make the hook decline so the full check runs.
-func isVerdict(err error) bool {
-	var cv *spec.ClosureViolation
-	var lv *explore.LivenessViolation
-	var ce *core.ConditionError
-	return errors.As(err, &cv) || errors.As(err, &lv) || errors.As(err, &ce)
-}
+func (e *sliceEntry) Tier() ladder.Tier { return ladder.Slice }
 
-func installHooks() {
-	spec.RegisterClosedSlicer(func(ctx context.Context, p *guarded.Program, s state.Predicate) (error, bool) {
-		sl, ok := hookSlice(p, s)
-		if !ok {
-			return nil, false
-		}
-		sp, ok := slicedPred(sl, s)
-		if !ok {
-			return nil, false
-		}
-		err := spec.CheckClosedCtx(ctx, sl.File.Program, sp)
-		if err != nil && !isVerdict(err) {
-			return nil, false
-		}
-		return err, true
-	})
-	spec.RegisterConvergesSlicer(func(ctx context.Context, p *guarded.Program, s, r state.Predicate) (error, bool) {
-		sl, ok := hookSlice(p, s, r)
-		if !ok {
-			return nil, false
-		}
-		ss, ok1 := slicedPred(sl, s)
-		sr, ok2 := slicedPred(sl, r)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		err := spec.CheckConvergesCtx(ctx, sl.File.Program, ss, sr)
-		if err != nil && !isVerdict(err) {
-			return nil, false
-		}
-		return err, true
-	})
-	core.RegisterComponentSlicer(func(ctx context.Context, kind string, p *guarded.Program, z, x, u state.Predicate) (error, bool) {
-		sl, ok := hookSlice(p, z, x, u)
-		if !ok {
-			return nil, false
-		}
-		sz, ok1 := slicedPred(sl, z)
-		sx, ok2 := slicedPred(sl, x)
-		su, ok3 := slicedPred(sl, u)
-		if !ok1 || !ok2 || !ok3 {
-			return nil, false
-		}
-		var err error
-		switch kind {
-		case "detector":
-			err = core.Detector{Name: "slice(" + sl.File.Name + ")", D: sl.File.Program, Z: sz, X: sx, U: su}.CheckCtx(ctx)
-		case "corrector":
-			err = core.Corrector{Name: "slice(" + sl.File.Name + ")", C: sl.File.Program, Z: sz, X: sx, U: su}.CheckCtx(ctx)
-		default:
-			return nil, false
-		}
-		if err != nil && !isVerdict(err) {
-			return nil, false
-		}
-		return err, true
-	})
-}
-
-// hookSlice is the common hook front half: look the program up, turn the
-// predicates into named targets, and fetch the memoized slice.
-func hookSlice(p *guarded.Program, preds ...state.Predicate) (*Slice, bool) {
+// Try runs q on the slice of its targets' cone. A sliced pass decides q; a
+// sliced violation, or an operational error on the slice, is NoProof.
+func (e *sliceEntry) Try(ctx context.Context, q ladder.Query) ladder.Outcome {
 	if !Enabled() {
-		return nil, false
+		return ladder.NotApplicable
 	}
-	e := lookup(p)
-	if e == nil {
-		return nil, false
-	}
+	preds := q.Preds()
 	targets, ok := e.targetNames(preds...)
 	if !ok {
-		return nil, false
+		return ladder.NotApplicable
 	}
 	sl := e.sliceFor(targets)
 	if sl == nil {
-		return nil, false
+		return ladder.NotApplicable
 	}
-	return sl, true
+	sp := make([]state.Predicate, len(preds))
+	for i, p := range preds {
+		if sp[i], ok = slicedPred(sl, p); !ok {
+			return ladder.NotApplicable
+		}
+	}
+	var err error
+	prog := sl.File.Program
+	name := "slice(" + sl.File.Name + ")"
+	switch q.Kind {
+	case ladder.Closed:
+		err = spec.CheckClosedCtx(ctx, prog, sp[0])
+	case ladder.Converges:
+		err = spec.CheckConvergesCtx(ctx, prog, sp[0], sp[1])
+	case ladder.Detects:
+		err = core.Detector{Name: name, D: prog, Z: sp[0], X: sp[1], U: sp[2]}.CheckCtx(ctx)
+	case ladder.Corrects:
+		err = core.Corrector{Name: name, C: prog, Z: sp[0], X: sp[1], U: sp[2]}.CheckCtx(ctx)
+	default:
+		return ladder.NotApplicable
+	}
+	if err != nil {
+		return ladder.NoProof
+	}
+	return ladder.Holds
 }

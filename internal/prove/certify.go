@@ -2,40 +2,20 @@ package prove
 
 import (
 	"context"
+	"errors"
 	"sync"
 
-	"detcorr/internal/core"
 	"detcorr/internal/gcl"
-	"detcorr/internal/guarded"
-	"detcorr/internal/spec"
-	"detcorr/internal/state"
+	"detcorr/internal/ladder"
 )
 
-// The certification registry connects compiled programs back to their
-// source-level proof systems, so the graph-based checks in spec and core
-// can consult the prover before enumerating states. Registration is keyed
-// by the compiled *guarded.Program pointer — composed programs (e.g. the
-// result of fault.Compose) are distinct values and simply miss the fast
-// path, which is always sound: only a full proof short-circuits anything.
-
-type certEntry struct {
-	mu    sync.Mutex // System is not safe for concurrent use; serialize per program
-	sys   *System
-	cache map[string]bool // obligation key -> proved
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[*guarded.Program]*certEntry{}
-	hookOnce sync.Once
-)
-
-// Certify prepares a compiled file for exploration-free fast paths: its
-// program is registered so that spec.CheckClosed and the core
-// detector/corrector checks consult the prover first. Files compiled
-// before the AST field existed (or assembled by hand) are skipped
-// silently. Certification never changes any verdict — the hooks report
-// success only on a full proof and fall back to exploration otherwise.
+// Certify attaches the prove tier to a compiled file's program, so the
+// verdict ladder (internal/ladder) tries an exploration-free proof before
+// exploring. The tier is keyed by the compiled *guarded.Program pointer —
+// composed programs (e.g. the result of fault.Compose) are distinct values
+// and simply miss it, which is always sound: only a full proof decides
+// anything. Files compiled before the AST field existed (or assembled by
+// hand) are skipped silently.
 func Certify(f *gcl.File) error {
 	if f == nil || f.AST == nil {
 		return nil
@@ -44,60 +24,104 @@ func Certify(f *gcl.File) error {
 	if err != nil {
 		return err
 	}
-	regMu.Lock()
-	registry[f.Program] = &certEntry{sys: sys, cache: map[string]bool{}}
-	regMu.Unlock()
-	hookOnce.Do(installHooks)
+	ladder.Attach(f.Program, &tier{sys: sys, tried: map[string]attempt{}})
 	return nil
 }
 
-func lookup(p *guarded.Program) *certEntry {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registry[p]
+// tier is the prove rung of one program's ladder. It poses closure and the
+// detector and corrector bundles; convergence alone is not posed, since
+// rank synthesis outspends the graph build on every benchmark family.
+type tier struct {
+	mu    sync.Mutex // System is not safe for concurrent use; serialize per program
+	sys   *System
+	tried map[string]attempt // query key -> last decided attempt
 }
 
-// proved runs one cached proof attempt under the entry's lock.
-func (e *certEntry) proved(key string, attempt func(sys *System) bool) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ok, seen := e.cache[key]; seen {
-		return ok
+// attempt is a remembered outcome. A proof or a completed non-proof is
+// final; a budget exhaustion is retried only by a verdict with more work
+// left than the attempt had.
+type attempt struct {
+	out  ladder.Outcome
+	left int64
+}
+
+func (t *tier) Tier() ladder.Tier { return ladder.Prove }
+
+func (t *tier) Try(ctx context.Context, q ladder.Query) ladder.Outcome {
+	var kind string
+	switch q.Kind {
+	case ladder.Closed:
+		kind = "closure"
+	case ladder.Detects:
+		kind = "detector"
+	case ladder.Corrects:
+		kind = "corrector"
+	default:
+		return ladder.NotApplicable
 	}
-	ok := attempt(e.sys)
-	e.cache[key] = ok
-	return ok
-}
-
-func installHooks() {
-	spec.RegisterClosureProver(func(p *guarded.Program, s state.Predicate) bool {
-		e := lookup(p)
-		if e == nil {
-			return false
+	key := kind
+	var names []string
+	for _, p := range q.Preds() {
+		if _, err := t.sys.needPred(p.String()); err != nil {
+			return ladder.NotApplicable // an extensional or undeclared predicate
 		}
-		return e.proved("closure:"+s.String(), func(sys *System) bool {
-			rep, err := ProveClosure(sys, s.String())
-			return err == nil && rep.Verdict == Proved
-		})
-	})
-	core.RegisterComponentProver(func(kind string, p *guarded.Program, z, x, u state.Predicate) bool {
-		e := lookup(p)
-		if e == nil {
-			return false
+		names = append(names, p.String())
+		key += ":" + p.String()
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b := ladder.BudgetFrom(ctx)
+	left := b.Left()
+	if a, ok := t.tried[key]; ok && (a.out != ladder.OverBudget || left <= a.left) {
+		return a.out
+	}
+	var proved bool
+	err := t.sys.metered(ctx, func() error {
+		if kind == "closure" {
+			inv, _ := t.sys.needPred(names[0])
+			rep, err := t.sys.proveClosureExpr(ctx, CodeClosure, "closure", inv, t.sys.actions)
+			proved = err == nil && rep.Verdict == Proved
+			return err
 		}
-		key := kind + ":" + z.String() + "|" + x.String() + "|" + u.String()
-		return e.proved(key, func(sys *System) bool {
-			return sys.proveComponent(kind, z.String(), x.String(), u.String())
-		})
+		var err error
+		proved, err = t.sys.proveComponent(ctx, kind, names[0], names[1], names[2])
+		return err
 	})
+	var out ladder.Outcome
+	switch {
+	case errors.Is(err, errOverBudget):
+		out = ladder.OverBudget
+	case err != nil:
+		return ladder.NoProof // cancelled: nothing learned, nothing remembered
+	case proved:
+		out = ladder.Holds
+	default:
+		out = ladder.NoProof
+	}
+	t.tried[key] = attempt{out: out, left: left}
+	return out
 }
 
 // ProveComponent reports whether the full detector ("detector") or
 // corrector ("corrector") specification "Z kind X from U" is provable for
 // the system without exploration. False means "fall back to the graph
-// checks", never "the component fails".
+// checks", never "the component fails". The attempt is unbudgeted.
 func ProveComponent(sys *System, kind, z, x, u string) bool {
-	return sys.proveComponent(kind, z, x, u)
+	ok, err := ProveComponentCtx(context.Background(), sys, kind, z, x, u)
+	return err == nil && ok
+}
+
+// ProveComponentCtx is ProveComponent under a context: cancellation, or
+// exhaustion of a ladder budget carried in ctx, stops the attempt at its
+// next charged evaluation and returns the reason as an error.
+func ProveComponentCtx(ctx context.Context, sys *System, kind, z, x, u string) (bool, error) {
+	var proved bool
+	err := sys.metered(ctx, func() error {
+		var err error
+		proved, err = sys.proveComponent(ctx, kind, z, x, u)
+		return err
+	})
+	return proved, err
 }
 
 // proveComponent discharges the full detector (or corrector) specification
@@ -106,44 +130,45 @@ func ProveComponent(sys *System, kind, z, x, u string) bool {
 // correctors additionally the closure of X along U-steps and convergence
 // of U to X. Every obligation quantifies over all U-states — a superset of
 // the reachable states the graph checks inspect — so Proved transfers; any
-// weaker verdict reports false and the caller falls back.
-func (sys *System) proveComponent(kind, z, x, u string) bool {
+// weaker verdict reports false and the caller falls back. The error is the
+// metered run's stop reason, so a stopped attempt never reports a proof.
+func (sys *System) proveComponent(ctx context.Context, kind, z, x, u string) (bool, error) {
 	U, err := sys.needPred(u)
 	if err != nil {
-		return false
+		return false, nil
 	}
 	Z, err := sys.needPred(z)
 	if err != nil {
-		return false
+		return false, nil
 	}
 	X, err := sys.needPred(x)
 	if err != nil {
-		return false
+		return false, nil
 	}
-	// The hooks run under context.Background(): a prover attempt is never
-	// cancelled mid-way, so the error returns below are unreachable — they
-	// exist for the context-carrying entry points in obligations.go.
-	if rep, err := sys.proveClosureExpr(context.Background(), CodeClosure, "closure", U, sys.actions); err != nil || rep.Verdict != Proved {
-		return false
+	if rep, err := sys.proveClosureExpr(ctx, CodeClosure, "closure", U, sys.actions); err != nil || rep.Verdict != Proved {
+		return false, err
 	}
-	if rep, err := ProveSafeness(sys, u, z, x); err != nil || rep.Verdict != Proved {
-		return false
+	if rep, err := sys.proveSafeness(ctx, u, z, x, U, Z, X); err != nil || rep.Verdict != Proved {
+		return false, err
 	}
 	// Progress: from U ∧ X ∧ ¬Z every computation reaches Z ∨ ¬X. Closure
 	// of U is already discharged above.
-	if rep, err := sys.proveConvergenceExpr(context.Background(), "progress", U, disj(Z, neg(X)), nil, nil, false); err != nil || rep.Verdict != Proved {
-		return false
+	if rep, err := sys.proveConvergenceExpr(ctx, "progress", U, disj(Z, neg(X)), nil, nil, false); err != nil || rep.Verdict != Proved {
+		return false, err
 	}
 	if kind != "corrector" {
-		return kind == "detector"
+		return kind == "detector", nil
 	}
 	// Convergence, closure half: no U-step falsifies X.
 	for i := range sys.actions {
+		if err := sys.halted(ctx); err != nil {
+			return false, err
+		}
 		if sys.proveAction(&sys.actions[i], []gcl.Expr{U, X}, X).Verdict != Proved {
-			return false
+			return false, sys.halted(ctx)
 		}
 	}
 	// Convergence, liveness half: U converges to X.
-	rep, err := sys.proveConvergenceExpr(context.Background(), "convergence", U, X, nil, nil, false)
-	return err == nil && rep.Verdict == Proved
+	rep, err := sys.proveConvergenceExpr(ctx, "convergence", U, X, nil, nil, false)
+	return err == nil && rep.Verdict == Proved, err
 }

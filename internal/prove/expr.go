@@ -152,29 +152,69 @@ func sortedVars(e gcl.Expr) []string {
 	return out
 }
 
-// evalExpr evaluates an inlined expression under a total assignment
-// (booleans are 0/1, enum values their index, range values source-level).
-func evalExpr(env map[string]int, e gcl.Expr) int {
+// compileExpr resolves an inlined expression into a function of a total
+// assignment held in a value vector (booleans are 0/1, enum values their
+// index, range values source-level), slots giving each free variable's
+// index in it, so enumeration leaves evaluate without name lookups. The
+// boolean connectives short-circuit, which no total, side-effect-free
+// operand can observe.
+func compileExpr(e gcl.Expr, slots map[string]int) func([]int) int {
 	switch n := e.(type) {
 	case *gcl.BoolLit:
+		v := 0
 		if n.Value {
-			return 1
+			v = 1
 		}
-		return 0
+		return func([]int) int { return v }
 	case *gcl.IntLit:
-		return n.Value
+		v := n.Value
+		return func([]int) int { return v }
 	case *gcl.Ref:
-		return env[n.Name]
+		i := slots[n.Name]
+		return func(vals []int) int { return vals[i] }
 	case *gcl.Unary:
-		x := evalExpr(env, n.X)
+		x := compileExpr(n.X, slots)
 		if n.Op == gcl.NOT {
-			return 1 - x
+			return func(vals []int) int { return 1 - x(vals) }
 		}
-		return -x
+		return func(vals []int) int { return -x(vals) }
 	case *gcl.Binary:
-		return absdom.EvalBinary(n.Op, evalExpr(env, n.L), evalExpr(env, n.R))
+		l, r := compileExpr(n.L, slots), compileExpr(n.R, slots)
+		switch n.Op {
+		case gcl.AND:
+			return func(vals []int) int { return b2i(l(vals) != 0 && r(vals) != 0) }
+		case gcl.OR:
+			return func(vals []int) int { return b2i(l(vals) != 0 || r(vals) != 0) }
+		case gcl.IMPLIES:
+			return func(vals []int) int { return b2i(l(vals) == 0 || r(vals) != 0) }
+		case gcl.EQ:
+			return func(vals []int) int { return b2i(l(vals) == r(vals)) }
+		case gcl.NEQ:
+			return func(vals []int) int { return b2i(l(vals) != r(vals)) }
+		}
+		op := n.Op
+		return func(vals []int) int { return absdom.EvalBinary(op, l(vals), r(vals)) }
+	}
+	return func([]int) int { return 0 }
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
 	return 0
+}
+
+// exprSize is the node count of an expression: the cost, in the meter's
+// units, of evaluating it once.
+func exprSize(e gcl.Expr) int {
+	switch n := e.(type) {
+	case *gcl.Unary:
+		return 1 + exprSize(n.X)
+	case *gcl.Binary:
+		return 1 + exprSize(n.L) + exprSize(n.R)
+	}
+	return 1
 }
 
 // exprString renders an inlined expression in GCL syntax (fully

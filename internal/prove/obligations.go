@@ -62,12 +62,12 @@ func (sys *System) needPred(name string) (gcl.Expr, error) {
 }
 
 // proveClosureExpr discharges {inv ∧ g} a {inv} for every action in acts.
-// Cancellation is polled between obligations — each obligation is already
-// budget-bounded by the refuter, so the latency is one obligation's worth.
+// The run's meter stops an obligation mid-search; between obligations the
+// stop reason (or ctx ending) is returned.
 func (sys *System) proveClosureExpr(ctx context.Context, code, subject string, inv gcl.Expr, acts []gcl.ActionDecl) (*Report, error) {
 	rep := &Report{Code: code, Subject: subject}
 	for i := range acts {
-		if err := ctx.Err(); err != nil {
+		if err := sys.halted(ctx); err != nil {
 			return nil, err
 		}
 		rep.Actions = append(rep.Actions, sys.proveAction(&acts[i], []gcl.Expr{inv}, inv))
@@ -84,15 +84,19 @@ func ProveClosure(sys *System, inv string) (*Report, error) {
 	return ProveClosureCtx(context.Background(), sys, inv)
 }
 
-// ProveClosureCtx is ProveClosure under a context; cancellation between
-// per-action obligations returns ctx.Err().
-func ProveClosureCtx(ctx context.Context, sys *System, inv string) (*Report, error) {
+// ProveClosureCtx is ProveClosure under a context; cancellation returns
+// ctx.Err() within pollEvery evaluations.
+func ProveClosureCtx(ctx context.Context, sys *System, inv string) (rep *Report, err error) {
 	S, err := sys.needPred(inv)
 	if err != nil {
 		return nil, err
 	}
-	return sys.proveClosureExpr(ctx, CodeClosure,
-		fmt.Sprintf("closure of %s under the program actions", inv), S, sys.actions)
+	err = sys.metered(ctx, func() error {
+		rep, err = sys.proveClosureExpr(ctx, CodeClosure,
+			fmt.Sprintf("closure of %s under the program actions", inv), S, sys.actions)
+		return err
+	})
+	return rep, err
 }
 
 // ProveSpanClosure (DC101) proves that a fault span — the named span
@@ -104,8 +108,16 @@ func ProveSpanClosure(sys *System, inv, span string) (*Report, error) {
 }
 
 // ProveSpanClosureCtx is ProveSpanClosure under a context; cancellation
-// between per-action obligations returns ctx.Err().
-func ProveSpanClosureCtx(ctx context.Context, sys *System, inv, span string) (*Report, error) {
+// returns ctx.Err() within pollEvery evaluations.
+func ProveSpanClosureCtx(ctx context.Context, sys *System, inv, span string) (rep *Report, err error) {
+	err = sys.metered(ctx, func() error {
+		rep, err = sys.proveSpanClosure(ctx, inv, span)
+		return err
+	})
+	return rep, err
+}
+
+func (sys *System) proveSpanClosure(ctx context.Context, inv, span string) (*Report, error) {
 	S, err := sys.needPred(inv)
 	if err != nil {
 		return nil, err
@@ -147,9 +159,9 @@ func ProveSafeness(sys *System, u, z, x string) (*Report, error) {
 	return ProveSafenessCtx(context.Background(), sys, u, z, x)
 }
 
-// ProveSafenessCtx is ProveSafeness under a context; cancellation between
-// per-action obligations returns ctx.Err().
-func ProveSafenessCtx(ctx context.Context, sys *System, u, z, x string) (*Report, error) {
+// ProveSafenessCtx is ProveSafeness under a context; cancellation returns
+// ctx.Err() within pollEvery evaluations.
+func ProveSafenessCtx(ctx context.Context, sys *System, u, z, x string) (rep *Report, err error) {
 	U, err := sys.needPred(u)
 	if err != nil {
 		return nil, err
@@ -162,13 +174,22 @@ func ProveSafenessCtx(ctx context.Context, sys *System, u, z, x string) (*Report
 	if err != nil {
 		return nil, err
 	}
+	err = sys.metered(ctx, func() error {
+		rep, err = sys.proveSafeness(ctx, u, z, x, U, Z, X)
+		return err
+	})
+	return rep, err
+}
+
+// proveSafeness is ProveSafeness over the named predicates' inlined bodies.
+func (sys *System) proveSafeness(ctx context.Context, u, z, x string, U, Z, X gcl.Expr) (*Report, error) {
 	rep := &Report{Code: CodeSafeness,
 		Subject: fmt.Sprintf("detector safeness and stability of %s => %s within %s", z, x, u)}
 	rep.Actions = append(rep.Actions,
 		sys.actionResult(fmt.Sprintf("(safeness: %s & %s => %s)", u, z, x), sys.valid([]gcl.Expr{U, Z}, X, nil)))
 	post := disj(Z, neg(X))
 	for i := range sys.actions {
-		if err := ctx.Err(); err != nil {
+		if err := sys.halted(ctx); err != nil {
 			return nil, err
 		}
 		res := sys.proveAction(&sys.actions[i], []gcl.Expr{U, Z}, post)
@@ -188,9 +209,8 @@ func ProveConvergence(sys *System, u, goal string, rank []gcl.Expr) (*Report, er
 }
 
 // ProveConvergenceCtx is ProveConvergence under a context; cancellation
-// between per-action obligations (and between rank-synthesis candidates)
-// returns ctx.Err().
-func ProveConvergenceCtx(ctx context.Context, sys *System, u, goal string, rank []gcl.Expr) (*Report, error) {
+// returns ctx.Err() within pollEvery evaluations.
+func ProveConvergenceCtx(ctx context.Context, sys *System, u, goal string, rank []gcl.Expr) (rep *Report, err error) {
 	U, err := sys.needPred(u)
 	if err != nil {
 		return nil, err
@@ -207,8 +227,12 @@ func ProveConvergenceCtx(ctx context.Context, sys *System, u, goal string, rank 
 		}
 		desc[i] = exprString(e)
 	}
-	return sys.proveConvergenceExpr(ctx,
-		fmt.Sprintf("convergence from %s to %s", u, goal), U, G, inlined, desc, true)
+	err = sys.metered(ctx, func() error {
+		rep, err = sys.proveConvergenceExpr(ctx,
+			fmt.Sprintf("convergence from %s to %s", u, goal), U, G, inlined, desc, true)
+		return err
+	})
+	return rep, err
 }
 
 // proveConvergenceExpr proves convergence from U to goal: closure of U
@@ -225,7 +249,7 @@ func (sys *System) proveConvergenceExpr(ctx context.Context, subject string, U, 
 	rep := &Report{Code: CodeConvergence, Subject: subject}
 	if withClosure {
 		for i := range sys.actions {
-			if err := ctx.Err(); err != nil {
+			if err := sys.halted(ctx); err != nil {
 				return nil, err
 			}
 			res := sys.proveAction(&sys.actions[i], []gcl.Expr{U}, U)
@@ -239,6 +263,9 @@ func (sys *System) proveConvergenceExpr(ctx context.Context, subject string, U, 
 	}
 	rep.Actions = append(rep.Actions, sys.actionResult("(no deadlock outside the goal)",
 		sys.valid([]gcl.Expr{U, neg(G)}, disj(guards...), nil)))
+	if err := sys.halted(ctx); err != nil {
+		return nil, err
+	}
 	if aggregate(rep.Actions) == Disproved {
 		rep.Verdict = Disproved
 		return rep, nil
@@ -258,7 +285,7 @@ func (sys *System) proveConvergenceExpr(ctx context.Context, subject string, U, 
 		rep.Actions = append(rep.Actions, results...)
 	} else {
 		for i := range sys.actions {
-			if err := ctx.Err(); err != nil {
+			if err := sys.halted(ctx); err != nil {
 				return nil, err
 			}
 			a := &sys.actions[i]
@@ -273,6 +300,9 @@ func (sys *System) proveConvergenceExpr(ctx context.Context, subject string, U, 
 					"the ranking function does not decrease on this step; "+res.Note, "; "))
 			}
 			rep.Actions = append(rep.Actions, res)
+		}
+		if err := sys.halted(ctx); err != nil {
+			return nil, err
 		}
 	}
 	rep.Rank = rankDesc
@@ -342,7 +372,13 @@ func (sys *System) synthesizeRank(ctx context.Context, U, G gcl.Expr) ([]gcl.Exp
 			if used[ci] {
 				continue
 			}
-			if err := ctx.Err(); err != nil {
+			// Each candidate is charged on top of its leaf evaluations, so
+			// a candidate sweep whose obligations all propagate without
+			// enumerating still spends the budget.
+			if !sys.m.charge(1) {
+				return nil, nil, nil, false, sys.m.err
+			}
+			if err := sys.halted(ctx); err != nil {
 				return nil, nil, nil, false, err
 			}
 			c := cands[ci]
@@ -364,6 +400,9 @@ func (sys *System) synthesizeRank(ctx context.Context, U, G gcl.Expr) ([]gcl.Exp
 				if strict.Verdict == Proved {
 					dec = append(dec, ai)
 				}
+			}
+			if err := sys.halted(ctx); err != nil {
+				return nil, nil, nil, false, err
 			}
 			if ok && len(dec) > len(bestDec) {
 				bestCand, bestDec = ci, dec
@@ -410,7 +449,7 @@ func (sys *System) synthesizeRank(ctx context.Context, U, G gcl.Expr) ([]gcl.Exp
 // span candidate in the sense of the paper — the closure proof then
 // re-checks it independently.
 func (sys *System) inferSpan(inv gcl.Expr) map[string]absdom.Set {
-	r := &refuter{sys: sys, vars: sys.vars}
+	r := &refuter{sys: sys, m: sys.m, vars: sys.vars}
 	store := absdom.NewStore()
 	for _, n := range sys.order {
 		v := sys.vars[n]

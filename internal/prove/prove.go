@@ -24,7 +24,7 @@
 // concrete witness state. Unknown means the abstraction was inconclusive
 // and the exact fallback exceeded its budget — callers fall back to
 // graph-based checking, so the engine never changes a verdict, it only
-// skips work (see Certify and the fast-path hooks in spec and core).
+// skips work (see Certify and the verdict ladder, internal/ladder).
 package prove
 
 import (
@@ -162,6 +162,7 @@ type System struct {
 	faults  []gcl.ActionDecl
 	fresh   int // counter for primed '?' variables
 	inl     *inliner
+	m       *meter // the running entry point's cost account; nil outside one
 }
 
 // NewSystem resolves a parsed file. Files that fail to compile fail here

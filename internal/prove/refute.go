@@ -29,7 +29,7 @@ type Outcome struct {
 // domains (plus extra, the fresh variables introduced for '?' targets), by
 // refuting the conjunction of the hypotheses with ¬concl.
 func (sys *System) valid(hyps []gcl.Expr, concl gcl.Expr, extra map[string]*VarDom) Outcome {
-	r := &refuter{sys: sys, vars: map[string]*VarDom{}, splits: splitBudget}
+	r := &refuter{sys: sys, m: sys.m, vars: map[string]*VarDom{}, splits: splitBudget}
 	for n, v := range sys.vars {
 		r.vars[n] = v
 	}
@@ -45,7 +45,12 @@ func (sys *System) valid(hyps []gcl.Expr, concl gcl.Expr, extra map[string]*VarD
 		conjs = append(conjs, nnf(h, false))
 	}
 	conjs = append(conjs, nnf(concl, true))
-	switch st := r.refute(conjs, store); st {
+	st := r.refute(conjs, store)
+	if r.m.stopped() {
+		// A stopped search decides nothing; the entry point reports why.
+		return Outcome{Verdict: Unknown}
+	}
+	switch st {
 	case refuted:
 		return Outcome{Verdict: Proved}
 	case satisfiable:
@@ -65,6 +70,7 @@ const (
 
 type refuter struct {
 	sys    *System
+	m      *meter // charged for every expression evaluation at a leaf
 	vars   map[string]*VarDom
 	splits int // remaining case-split budget, shared across the whole query
 	notes  []string
@@ -80,6 +86,9 @@ type refuter struct {
 // clauses left is decided exactly by bounded enumeration over the
 // narrowed value sets, which also produces the concrete counterexample.
 func (r *refuter) refute(conjs []gcl.Expr, store *absdom.Store) status {
+	if r.m.stopped() {
+		return inconclusive
+	}
 	var lits, ors []gcl.Expr
 	flatten(conjs, &lits, &ors)
 	for _, l := range lits {
@@ -307,8 +316,12 @@ func (r *refuter) assertOrder(op gcl.Kind, a, b string, store *absdom.Store) boo
 // miniBudget are skipped — the exact fallback may still decide them.
 func (r *refuter) assertByEnum(l gcl.Expr, store *absdom.Store) bool {
 	vars := sortedVars(l)
+	cost := exprSize(l)
 	if len(vars) == 0 {
-		if evalExpr(nil, l) == 0 {
+		if !r.m.charge(cost) {
+			return false
+		}
+		if compileExpr(l, nil)(nil) == 0 {
 			store.MarkContradictory()
 			return true
 		}
@@ -349,24 +362,27 @@ func (r *refuter) assertByEnum(l gcl.Expr, store *absdom.Store) bool {
 	for i := range feasible {
 		feasible[i] = absdom.EmptySet()
 	}
-	env := map[string]int{}
+	eval := compileExpr(l, repSlots(vars, reps, repOf))
 	vals := make([]int, len(reps))
-	var rec func(i int)
+	// rec enumerates the combinations from representative i on; it
+	// reports false once the meter stops the run.
+	var rec func(i int) bool
 	any := false
-	rec = func(i int) {
+	rec = func(i int) bool {
 		if i == len(reps) {
-			for _, v := range vars {
-				env[v] = vals[indexOf(reps, repOf[v])]
+			if !r.m.charge(cost) {
+				return false
 			}
-			if evalExpr(env, l) == 0 {
-				return
+			if eval(vals) == 0 {
+				return true
 			}
 			any = true
 			for j := range reps {
 				feasible[j] = absdom.Union(feasible[j], absdom.SingleSet(vals[j]))
 			}
-			return
+			return true
 		}
+		going := true
 		sets[i].ForEach(func(v int) bool {
 			vals[i] = v
 			// Skip combinations violating recorded disequalities between the
@@ -376,11 +392,14 @@ func (r *refuter) assertByEnum(l gcl.Expr, store *absdom.Store) bool {
 					return true
 				}
 			}
-			rec(i + 1)
-			return true
+			going = rec(i + 1)
+			return going
 		})
+		return going
 	}
-	rec(0)
+	if !rec(0) {
+		return false
+	}
 	if !any {
 		store.MarkContradictory()
 		return true
@@ -392,6 +411,16 @@ func (r *refuter) assertByEnum(l gcl.Expr, store *absdom.Store) bool {
 		}
 	}
 	return changed
+}
+
+// repSlots maps each variable to the index of its representative's value
+// in an enumeration's value vector.
+func repSlots(vars, reps []string, repOf map[string]string) map[string]int {
+	slots := make(map[string]int, len(vars))
+	for _, v := range vars {
+		slots[v] = indexOf(reps, repOf[v])
+	}
+	return slots
 }
 
 func indexOf(xs []string, x string) int {
@@ -407,7 +436,8 @@ func indexOf(xs []string, x string) int {
 // to the formulas' variables over their narrowed value sets, checking the
 // full formula list concretely. This is complete for the branch (the store
 // narrowings are sound, so no satisfying assignment lies outside them).
-// Exceeding evalBudget yields inconclusive with a trace note.
+// Exceeding evalBudget yields inconclusive with a trace note, as does a
+// meter stop mid-enumeration.
 func (r *refuter) decideExact(conjs []gcl.Expr, store *absdom.Store) status {
 	varSet := map[string]bool{}
 	for _, e := range conjs {
@@ -448,16 +478,19 @@ func (r *refuter) decideExact(conjs []gcl.Expr, store *absdom.Store) status {
 			total *= c
 		}
 	}
-	env := map[string]int{}
+	slots := repSlots(vars, reps, repOf)
+	evals := make([]func([]int) int, len(conjs))
+	costs := make([]int, len(conjs))
+	for i, e := range conjs {
+		evals[i] = compileExpr(e, slots)
+		costs[i] = exprSize(e)
+	}
 	vals := make([]int, len(reps))
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(reps) {
-			for _, v := range vars {
-				env[v] = vals[indexOf(reps, repOf[v])]
-			}
-			for _, e := range conjs {
-				if evalExpr(env, e) == 0 {
+			for k, eval := range evals {
+				if !r.m.charge(costs[k]) || eval(vals) == 0 {
 					return false
 				}
 			}
@@ -475,11 +508,15 @@ func (r *refuter) decideExact(conjs []gcl.Expr, store *absdom.Store) status {
 				found = true
 				return false
 			}
-			return true
+			return !r.m.stopped()
 		})
 		return found
 	}
 	if rec(0) {
+		env := make(map[string]int, len(vars))
+		for _, v := range vars {
+			env[v] = vals[slots[v]]
+		}
 		// Complete the witness with every declared variable so the report
 		// shows a full state (unconstrained variables take their minimum).
 		r.cex = map[string]int{}
@@ -504,6 +541,9 @@ func (r *refuter) decideExact(conjs []gcl.Expr, store *absdom.Store) status {
 			}
 		}
 		return satisfiable
+	}
+	if r.m.stopped() {
+		return inconclusive
 	}
 	return refuted
 }

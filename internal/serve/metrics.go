@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"detcorr/internal/explore"
+	"detcorr/internal/ladder"
 )
 
 // metrics is the server's hand-rolled instrument panel, exported in the
@@ -32,6 +33,11 @@ type metrics struct {
 	evalCount atomic.Int64
 	evalSumNs atomic.Int64
 	evalBkt   [len(evalBuckets)]atomic.Int64
+
+	// Verdict-ladder counters, indexed by ladder.Tier (and ladder.Outcome
+	// for declines): one decision per top-level ladder run.
+	decidedBy [ladder.Explore + 1]atomic.Int64
+	declined  [ladder.Explore + 1][ladder.OverBudget + 1]atomic.Int64
 }
 
 // evalBuckets are the upper bounds (seconds) of the evaluation latency
@@ -62,6 +68,20 @@ func (m *metrics) observeEval(d time.Duration) {
 	for i, le := range evalBuckets {
 		if sec <= le {
 			m.evalBkt[i].Add(1)
+		}
+	}
+}
+
+// observeLadder counts which tier decided each ladder run of one
+// evaluation, and why each accelerator tier before it declined. A run its
+// context cut short counts its declines but no deciding tier.
+func (m *metrics) observeLadder(rep *ladder.Report) {
+	for _, tr := range rep.Traces {
+		if tr.Decided {
+			m.decidedBy[tr.DecidedBy].Add(1)
+		}
+		for _, d := range tr.Declined {
+			m.declined[d.Tier][d.Reason].Add(1)
 		}
 	}
 }
@@ -128,6 +148,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "dcserved_eval_seconds_bucket{le=\"+Inf\"} %d\n", m.evalCount.Load())
 	fmt.Fprintf(w, "dcserved_eval_seconds_sum %g\n", float64(m.evalSumNs.Load())/1e9)
 	fmt.Fprintf(w, "dcserved_eval_seconds_count %d\n", m.evalCount.Load())
+
+	fmt.Fprintln(w, "# HELP dcserved_decided_by_total Verdict-ladder runs by the tier that decided them.")
+	fmt.Fprintln(w, "# TYPE dcserved_decided_by_total counter")
+	for _, t := range ladder.Tiers {
+		fmt.Fprintf(w, "dcserved_decided_by_total{tier=%q} %d\n", t, m.decidedBy[t].Load())
+	}
+	fmt.Fprintln(w, "# HELP dcserved_tier_declined_total Accelerator tiers that fell through, by tier and reason.")
+	fmt.Fprintln(w, "# TYPE dcserved_tier_declined_total counter")
+	for _, t := range []ladder.Tier{ladder.Prove, ladder.Slice} {
+		for _, r := range ladder.Reasons {
+			fmt.Fprintf(w, "dcserved_tier_declined_total{tier=%q,reason=%q} %d\n", t, r, m.declined[t][r].Load())
+		}
+	}
 
 	// The process-wide exploration cache, re-exported so one scrape shows
 	// how well requests coalesce into graph builds.

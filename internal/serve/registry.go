@@ -16,8 +16,8 @@ import (
 // The registry maps program source (by content hash) to its compiled form,
 // so every request carrying the same GCL text evaluates against the same
 // *guarded.Program pointer. That identity is what makes the downstream
-// caches compose: the explore graph cache, the kernel memo, and the prover
-// certification registry all key on the program pointer, so two clients
+// caches compose: the explore graph cache, the kernel memo, and the verdict
+// ladder's accelerator tiers all key on the program pointer, so two clients
 // POSTing identical sources coalesce into one graph build even though each
 // request re-sends the full text.
 
@@ -141,8 +141,8 @@ func compile(src string) (*gcl.File, error) {
 	}
 	f.Src = src
 	// Certification is best-effort, exactly as in dctl: when the prover can
-	// re-derive the system, closure and component checks consult it first,
-	// and the cone-of-influence slicer gets a shot before any full build.
+	// re-derive the system it joins the program's verdict ladder, and so
+	// does the cone-of-influence slicer, both ahead of any full build.
 	_ = prove.Certify(f)
 	_ = flow.Certify(f)
 	return f, nil

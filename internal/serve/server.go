@@ -13,6 +13,7 @@ import (
 
 	"detcorr/internal/explore"
 	"detcorr/internal/gcl"
+	"detcorr/internal/ladder"
 	"detcorr/internal/serve/api"
 )
 
@@ -358,7 +359,9 @@ func (s *Server) run(ctx context.Context, fl *flight, key [sha256.Size]byte, req
 	file, err := s.programs.load(req.Program)
 	if err == nil {
 		fl.file = file
-		fl.resp, fl.err = Eval(ctx, file, req)
+		var rep ladder.Report
+		fl.resp, fl.err = Eval(ladder.WithReport(ctx, &rep), file, req)
+		s.met.observeLadder(&rep)
 	} else {
 		fl.err = err
 	}

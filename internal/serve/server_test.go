@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"detcorr/internal/explore"
+	"detcorr/internal/explore/difftest"
+	"detcorr/internal/ladder"
 	"detcorr/internal/serve/api"
 	"detcorr/internal/serve/corpus"
 )
@@ -388,6 +390,149 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(metricsText, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metricsText)
 		}
+	}
+}
+
+// TestServerLadderMetrics pins the verdict-ladder counters on /metrics:
+// which tier decided each evaluation, and why each accelerator tier before
+// it declined. Four cold evaluations cover every decision but slice and
+// every decline reason: ring-4 Legit closure is proved; ring-5 corrects
+// outruns its work budget in the prover, has no slice that shrinks the
+// program, and is explored; ring-5 detects then finds that graph cached;
+// and memaccess NotZ1 closure is disproved, so the prover declines with
+// no proof, its slice fails too, and the scan finds the violation.
+func TestServerLadderMetrics(t *testing.T) {
+	srv := NewServer(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	ring4, ring5 := difftest.RingSource(4, 4), difftest.RingSource(5, 5)
+	for _, req := range []api.Request{
+		{Program: ring4, Check: api.CheckClosure, Invariant: "Legit"},
+		{Program: ring5, Check: api.CheckCorrects, Z: "Legit", X: "Legit"},
+		{Program: ring5, Check: api.CheckDetects, Z: "Legit", X: "Legit"},
+		{Program: difftest.MemaccessPM, Check: api.CheckClosure, Invariant: "NotZ1"},
+	} {
+		if resp, body := post(t, ts.URL, req, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", req.Check, resp.StatusCode, body)
+		}
+	}
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, _ := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	metricsText := string(mb)
+	for _, want := range []string{
+		`dcserved_decided_by_total{tier="cache"} 1`,
+		`dcserved_decided_by_total{tier="prove"} 1`,
+		`dcserved_decided_by_total{tier="slice"} 0`,
+		`dcserved_decided_by_total{tier="explore"} 2`,
+		`dcserved_tier_declined_total{tier="prove",reason="budget"} 1`,
+		`dcserved_tier_declined_total{tier="prove",reason="no-proof"} 1`,
+		`dcserved_tier_declined_total{tier="prove",reason="not-applicable"} 0`,
+		`dcserved_tier_declined_total{tier="slice",reason="not-applicable"} 1`,
+		`dcserved_tier_declined_total{tier="slice",reason="no-proof"} 1`,
+	} {
+		if !strings.Contains(metricsText, want+"\n") {
+			t.Errorf("metrics missing %q:\n%s", want, metricsText)
+		}
+	}
+}
+
+// TestServerCancelFreesWorker starts a runaway evaluation — the ring-5
+// convergence proof, which synthesizes ranking functions for more than a
+// minute — on a one-slot server, then walks the only waiter away. The
+// flight's cancellation must reach the prover, which stops at its next
+// context poll and frees the slot: no verdict is published, and the next
+// question is admitted instead of refused.
+// TestServerCancelledRunNotDecided: an evaluation whose request was
+// cancelled before its ladder ran counts no deciding tier, in particular
+// not the cache.
+func TestServerCancelledRunNotDecided(t *testing.T) {
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	srv := NewServer(Config{MaxInFlight: 1})
+	srv.testGate = func() { started <- struct{}{}; <-release }
+	defer srv.Shutdown(context.Background())
+
+	req := api.Request{Program: difftest.RingSource(4, 4), Check: api.CheckClosure, Invariant: "Legit"}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	hreq := httptest.NewRequest(http.MethodPost, "/v1/verdict", bytes.NewReader(body)).WithContext(ctx)
+	done := make(chan struct{})
+	go func() {
+		srv.ServeHTTP(httptest.NewRecorder(), hreq)
+		close(done)
+	}()
+	<-started
+	waitRefs(t, srv, requestKey(req), 1)
+	cancel()
+	// The handler cancels the flight's context as its last waiter leaves;
+	// only then does the evaluation run its ladder.
+	<-done
+	close(release)
+	srv.evals.Wait()
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, tier := range ladder.Tiers {
+		want := fmt.Sprintf("dcserved_decided_by_total{tier=%q} 0\n", tier)
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics missing %q: a cancelled run was counted as decided\n%s", want, rec.Body)
+		}
+	}
+}
+
+func TestServerCancelFreesWorker(t *testing.T) {
+	started := make(chan struct{}, 1)
+	srv := NewServer(Config{MaxInFlight: 1})
+	srv.testGate = func() { started <- struct{}{} }
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	runaway := api.Request{Program: difftest.RingSource(5, 5), Check: api.CheckProve, Goal: "Legit"}
+	body, err := json.Marshal(runaway)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/verdict", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(hreq)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-started
+	waitRefs(t, srv, requestKey(runaway), 1)
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("the cancelled request got a response")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(srv.sem) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the cancelled evaluation still holds its slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, ok := srv.verdicts.get(requestKey(runaway)); ok {
+		t.Fatal("the cancelled evaluation published a verdict: it ran to the end instead of stopping")
+	}
+	resp, _ := post(t, ts.URL, api.Request{Program: corpus.Countdown, Check: api.CheckDeadlock, From: "Top"}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request after the cancellation: status %d, want 200", resp.StatusCode)
 	}
 }
 

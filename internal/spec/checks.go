@@ -6,6 +6,7 @@ import (
 
 	"detcorr/internal/explore"
 	"detcorr/internal/guarded"
+	"detcorr/internal/ladder"
 	"detcorr/internal/state"
 )
 
@@ -23,72 +24,32 @@ func (v *ClosureViolation) Error() string {
 		v.Predicate, v.Action, v.From, v.To)
 }
 
-// ClosureProver is an optional exploration-free fast path for CheckClosed:
-// it reports true only when it has proved that s is closed in p. Anything
-// short of a proof (including a disproof) returns false and CheckClosed
-// falls back to enumeration, so registering a prover can never change a
-// verdict — it only skips work. internal/prove registers one via Certify.
-type ClosureProver func(p *guarded.Program, s state.Predicate) bool
-
-var closureProver ClosureProver
-
-// RegisterClosureProver installs the fast path. Passing nil removes it.
-func RegisterClosureProver(f ClosureProver) { closureProver = f }
-
-// ClosedSlicer is an optional cone-of-influence pre-pass for CheckClosed:
-// it runs the check on a sliced program whose verdicts provably coincide
-// with the full program's, returning (verdict, true) when it decided the
-// check and (_, false) when slicing does not apply. Callers accept a nil
-// verdict directly but re-derive violations on the full program, so the
-// reported witness states are always full-width. internal/flow registers
-// one via Certify.
-type ClosedSlicer func(ctx context.Context, p *guarded.Program, s state.Predicate) (error, bool)
-
-var closedSlicer ClosedSlicer
-
-// RegisterClosedSlicer installs the slicing pre-pass. Passing nil removes it.
-func RegisterClosedSlicer(f ClosedSlicer) { closedSlicer = f }
-
-// ConvergesSlicer is the CheckConverges form of ClosedSlicer.
-type ConvergesSlicer func(ctx context.Context, p *guarded.Program, s, r state.Predicate) (error, bool)
-
-var convergesSlicer ConvergesSlicer
-
-// RegisterConvergesSlicer installs the slicing pre-pass. Passing nil
-// removes it.
-func RegisterConvergesSlicer(f ConvergesSlicer) { convergesSlicer = f }
-
 // CheckClosed verifies "S is closed in p" (Section 2.2.1): p refines cl(S)
 // from true, i.e. every transition of p from a state satisfying S lands in a
-// state satisfying S. The work ladder, cheapest first: a registered prover
-// that discharges the per-action closure obligations returns immediately; a
-// graph already in the process-wide cache (built from S or from true, either
-// of which covers every S-state) answers from its precomputed edges; failing
-// both, a streaming kernel scan enumerates the S-states and their immediate
+// state satisfying S. The check runs the verdict ladder (internal/ladder):
+// a graph already in the process-wide cache (built from S or from true,
+// either of which covers every S-state) answers from its precomputed edges;
+// otherwise an attached prover may discharge the per-action closure
+// obligations, and a sliced pass may decide it; failing all three, a
+// streaming kernel scan enumerates the S-states and their immediate
 // transitions with early exit at the first violation — one pass, no graph
 // assembly.
 func CheckClosed(p *guarded.Program, s state.Predicate) error {
 	return CheckClosedCtx(context.Background(), p, s)
 }
 
-// CheckClosedCtx is CheckClosed under a context: cancellation aborts the
-// fallback kernel scan with ctx.Err(). The prover and cached-graph rungs of
-// the ladder are not interruptible — they are already cheap.
+// CheckClosedCtx is CheckClosed under a context: cancellation stops every
+// tier of the ladder with ctx.Err().
 func CheckClosedCtx(ctx context.Context, p *guarded.Program, s state.Predicate) error {
-	if closureProver != nil && closureProver(p, s) {
-		return nil
-	}
-	if g, ok := closureGraph(p, s); ok {
-		return CheckClosedOn(g, s)
-	}
-	if closedSlicer != nil {
-		if verdict, ok := closedSlicer(ctx, p, s); ok && verdict == nil {
-			return nil
-		}
-		// A sliced violation proves one exists; fall through so the
-		// full-space scan reports it with full-width witness states.
-	}
-	return scanPair(ctx, p, s, s, s.String())
+	return ladder.Decide(ctx, ladder.Query{Kind: ladder.Closed, P: p, S: s},
+		func(context.Context) (error, bool) {
+			g, ok := closureGraph(p, s)
+			if !ok {
+				return nil, false
+			}
+			return CheckClosedOn(g, s), true
+		},
+		func(ctx context.Context) error { return scanPair(ctx, p, s, s, s.String()) })
 }
 
 // closureGraph finds a cached graph that contains every S-state: one built
@@ -190,33 +151,37 @@ func CheckConverges(p *guarded.Program, s, r state.Predicate) error {
 }
 
 // CheckConvergesCtx is CheckConverges under a context: cancellation aborts
-// the closure scans and the graph build with ctx.Err(). The liveness query
-// on the built graph is not interruptible — it is linear in the graph.
+// the closure obligations and the graph build with ctx.Err(). The liveness
+// query on the built graph is not interruptible — it is linear in the
+// graph. The ladder's cache tier is the liveness graph itself; the prove
+// tier does not pose convergence (rank synthesis costs more than the build
+// on every benchmark family), so an uncached check goes to the slice tier
+// and then explores.
 func CheckConvergesCtx(ctx context.Context, p *guarded.Program, s, r state.Predicate) error {
-	// The sliced pre-pass only pays when the liveness graph is not already
-	// cached; a nil sliced verdict is final, a violation is re-derived on
-	// the full program below so the witness carries every variable.
-	if convergesSlicer != nil {
-		if _, cached := explore.Peek(p, s, explore.Options{}); !cached {
-			if verdict, ok := convergesSlicer(ctx, p, s, r); ok && verdict == nil {
-				return nil
-			}
+	check := func(ctx context.Context) error {
+		if err := CheckClosedCtx(ctx, p, s); err != nil {
+			return fmt.Errorf("converges(%s -> %s): %w", s, r, err)
 		}
+		if err := CheckClosedCtx(ctx, p, r); err != nil {
+			return fmt.Errorf("converges(%s -> %s): %w", s, r, err)
+		}
+		g, err := explore.SharedCtx(ctx, p, s, explore.Options{})
+		if err != nil {
+			return err
+		}
+		if v := g.CheckEventually(g.SetOf(s), g.SetOf(r)); v != nil {
+			return fmt.Errorf("converges(%s -> %s): %w", s, r, v)
+		}
+		return nil
 	}
-	if err := CheckClosedCtx(ctx, p, s); err != nil {
-		return fmt.Errorf("converges(%s -> %s): %w", s, r, err)
-	}
-	if err := CheckClosedCtx(ctx, p, r); err != nil {
-		return fmt.Errorf("converges(%s -> %s): %w", s, r, err)
-	}
-	g, err := explore.SharedCtx(ctx, p, s, explore.Options{})
-	if err != nil {
-		return err
-	}
-	if v := g.CheckEventually(g.SetOf(s), g.SetOf(r)); v != nil {
-		return fmt.Errorf("converges(%s -> %s): %w", s, r, v)
-	}
-	return nil
+	return ladder.Decide(ctx, ladder.Query{Kind: ladder.Converges, P: p, S: s, R: r},
+		func(ctx context.Context) (error, bool) {
+			if _, ok := explore.Peek(p, s, explore.Options{}); !ok {
+				return nil, false
+			}
+			return check(ctx), true
+		},
+		check)
 }
 
 // LeadsTo is the liveness obligation "whenever P holds, eventually Q holds"

@@ -1,11 +1,13 @@
 package spec
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
-	"detcorr/internal/guarded"
+	"detcorr/internal/explore"
+	"detcorr/internal/ladder"
 	"detcorr/internal/state"
 )
 
@@ -55,38 +57,67 @@ func TestClosureViolationFormatting(t *testing.T) {
 	}
 }
 
-// TestCheckClosedProverHook checks the fast-path contract: a registered
-// prover that claims a proof short-circuits the check, one that declines
-// leaves the verdict to enumeration, and the hook never runs after
-// deregistration.
-func TestCheckClosedProverHook(t *testing.T) {
-	defer RegisterClosureProver(nil)
+// fakeTier is an accelerator with a fixed outcome that records the kinds
+// of query it was asked.
+type fakeTier struct {
+	tier  ladder.Tier
+	out   ladder.Outcome
+	calls int
+	kinds []ladder.Kind
+}
 
+func (f *fakeTier) Tier() ladder.Tier { return f.tier }
+
+func (f *fakeTier) Try(_ context.Context, q ladder.Query) ladder.Outcome {
+	f.calls++
+	f.kinds = append(f.kinds, q.Kind)
+	return f.out
+}
+
+// TestCheckClosedProveTier checks the prove tier's contract on the ladder:
+// a tier that claims a proof short-circuits the check, one that declines
+// leaves the verdict to enumeration, a program without the tier gets the
+// enumeration verdict, and a cached graph decides before the tier runs.
+func TestCheckClosedProveTier(t *testing.T) {
+	explore.ResetCache()
+	defer explore.ResetCache()
 	p := counter(t, 5, dec())
-	calls := 0
-	// A prover that declines everything: CheckClosed must still find the
+	// A tier that declines everything: CheckClosed must still find the
 	// violation by enumeration.
-	RegisterClosureProver(func(_ *guarded.Program, _ state.Predicate) bool {
-		return false
-	})
+	declining := &fakeTier{tier: ladder.Prove, out: ladder.NoProof}
+	ladder.Attach(p, declining)
 	if err := CheckClosed(p, atLeast(2)); err == nil {
-		t.Fatal("a declining prover must not change the verdict")
+		t.Fatal("a declining tier must not change the verdict")
 	}
-	// A prover that (unsoundly, for the test) claims success: the check
-	// must return immediately with nil. This pins the short-circuit shape;
-	// soundness of the real prover is internal/prove's and difftest's job.
-	RegisterClosureProver(func(_ *guarded.Program, _ state.Predicate) bool {
-		calls++
-		return true
-	})
+	if declining.calls != 1 {
+		t.Errorf("declining tier ran %d times, want 1", declining.calls)
+	}
+	// A tier that (unsoundly, for the test) claims success replaces it: the
+	// check must return immediately with nil. This pins the short-circuit
+	// shape; soundness of the real prover is internal/prove's and
+	// difftest's job.
+	proving := &fakeTier{tier: ladder.Prove, out: ladder.Holds}
+	ladder.Attach(p, proving)
 	if err := CheckClosed(p, atLeast(2)); err != nil {
-		t.Fatalf("a proving hook must short-circuit: %v", err)
+		t.Fatalf("a proving tier must short-circuit: %v", err)
 	}
-	if calls != 1 {
-		t.Errorf("hook ran %d times, want 1", calls)
+	if proving.calls != 1 {
+		t.Errorf("tier ran %d times, want 1", proving.calls)
 	}
-	RegisterClosureProver(nil)
+	// Tiers belong to one program: an identical program without one gets
+	// the enumeration verdict.
+	if err := CheckClosed(counter(t, 5, dec()), atLeast(2)); err == nil {
+		t.Fatal("a program without the tier must get the enumeration verdict")
+	}
+	// The cache tier comes first: with the full-space graph resident the
+	// graph decides, and the (unsound) tier is never asked.
+	if _, err := explore.Shared(p, state.True, explore.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	if err := CheckClosed(p, atLeast(2)); err == nil {
-		t.Fatal("after deregistration the enumeration verdict must return")
+		t.Fatal("a cached graph must decide before the prove tier")
+	}
+	if proving.calls != 1 {
+		t.Errorf("tier ran %d times with the graph cached, want still 1", proving.calls)
 	}
 }
